@@ -137,6 +137,27 @@ func TestVEPBasicInvocation(t *testing.T) {
 	}
 }
 
+// TestVEPExchangeStoresEachMessageOnce pins the MonitoringStore count
+// of one exchange to its two messages, the request and the response,
+// with one message.intercepted event each.
+func TestVEPExchangeStoresEachMessageOnce(t *testing.T) {
+	svc := &scriptedService{}
+	b, v, rec := testBus(t, "", map[string]*scriptedService{"inproc://a": svc}, VEPConfig{})
+	if _, err := v.Invoke(context.Background(), "", catalogReq(t)); err != nil {
+		t.Fatal(err)
+	}
+	store := b.Monitor().Store()
+	if n := store.CountForInstance("proc-1"); n != 2 {
+		t.Fatalf("CountForInstance = %d, want 2 (request + response)", n)
+	}
+	if n := store.Len(); n != 2 {
+		t.Fatalf("store holds %d messages, want 2", n)
+	}
+	if n := len(rec.OfType(event.TypeMessageIntercepted)); n != 2 {
+		t.Fatalf("message.intercepted events = %d, want 2", n)
+	}
+}
+
 func TestVEPNoServices(t *testing.T) {
 	_, v, _ := testBus(t, "", nil, VEPConfig{Services: []string{}})
 	_, err := v.Invoke(context.Background(), "", catalogReq(t))

@@ -379,8 +379,7 @@ func (v *VEP) invoke(ctx context.Context, op string, req *soap.Envelope) (*soap.
 
 	mon := v.bus.monitor
 	if mon != nil {
-		mon.ObserveMessage(v.Subject(), op, req, wsdl.Request)
-		if viol := mon.CheckRequest(v.Subject(), op, req, v.contract); viol != nil {
+		if viol := mon.Intercept(v.Subject(), op, req, v.contract, wsdl.Request); viol != nil {
 			return nil, "", viol
 		}
 	}
@@ -409,8 +408,7 @@ func (v *VEP) invoke(ctx context.Context, op string, req *soap.Envelope) (*soap.
 				soap.SetProcessInstanceID(resp, id)
 			}
 		}
-		mon.ObserveMessage(v.Subject(), op, resp, wsdl.Response)
-		if viol := mon.CheckResponse(v.Subject(), op, resp, v.contract); viol != nil {
+		if viol := mon.Intercept(v.Subject(), op, resp, v.contract, wsdl.Response); viol != nil {
 			if adapted {
 				return nil, target, viol
 			}

@@ -164,35 +164,58 @@ func New(repo *policy.Repository, opts ...Option) *Monitor {
 // Store returns the attached MonitoringStore (nil if none).
 func (m *Monitor) Store() *Store { return m.store }
 
-// CheckRequest evaluates pre-conditions (and contract validation) of
-// every monitoring policy scoped to subject/operation against a
-// request message. The first violation is returned and published as a
-// fault event; nil means the request conforms.
+// CheckRequest stores a request message and evaluates pre-conditions
+// (and contract validation) of every monitoring policy scoped to
+// subject/operation against it. The first violation is returned and
+// published as a fault event; nil means the request conforms.
 func (m *Monitor) CheckRequest(subject, operation string, env *soap.Envelope, contract *wsdl.Contract) *Violation {
+	m.storeMessage(subject, operation, env, wsdl.Request)
 	return m.checkMessage(subject, operation, env, contract, wsdl.Request)
 }
 
-// CheckResponse evaluates post-conditions of monitoring policies
-// against a response message.
+// CheckResponse stores a response message and evaluates post-conditions
+// of monitoring policies against it.
 func (m *Monitor) CheckResponse(subject, operation string, env *soap.Envelope, contract *wsdl.Contract) *Violation {
+	m.storeMessage(subject, operation, env, wsdl.Response)
 	return m.checkMessage(subject, operation, env, contract, wsdl.Response)
 }
 
-func (m *Monitor) checkMessage(subject, operation string, env *soap.Envelope, contract *wsdl.Contract, dir wsdl.Direction) *Violation {
-	if m.store != nil && env != nil {
-		m.store.Record(StoredMessage{
-			Time:       m.clk.Now(),
-			InstanceID: soap.ProcessInstanceID(env),
-			Subject:    subject,
-			Operation:  operation,
-			Direction:  dir,
-			Envelope:   env.Clone(),
-		})
-	}
+// Intercept is the monitor's entry point for a message passing through
+// a VEP: it stores the message once, publishes message.intercepted and
+// then checks the pre-conditions (requests) or post-conditions
+// (responses), in that order. It is ObserveMessage followed by
+// CheckRequest/CheckResponse, except that the message is stored once.
+func (m *Monitor) Intercept(subject, operation string, env *soap.Envelope, contract *wsdl.Contract, dir wsdl.Direction) *Violation {
+	m.storeMessage(subject, operation, env, dir)
+	m.publishIntercepted(subject, operation, env)
+	return m.checkMessage(subject, operation, env, contract, dir)
+}
 
+// storeMessage records a copy of the message in the MonitoringStore, if any.
+func (m *Monitor) storeMessage(subject, operation string, env *soap.Envelope, dir wsdl.Direction) {
+	if m.store == nil || env == nil {
+		return
+	}
+	m.store.Record(StoredMessage{
+		Time:       m.clk.Now(),
+		InstanceID: soap.ProcessInstanceID(env),
+		Subject:    subject,
+		Operation:  operation,
+		Direction:  dir,
+		Envelope:   env.Clone(),
+	})
+}
+
+func (m *Monitor) checkMessage(subject, operation string, env *soap.Envelope, contract *wsdl.Contract, dir wsdl.Direction) *Violation {
+	policies := compile.MonitoringsFor(m.repo, subject, operation)
+	if len(policies) == 0 {
+		return nil
+	}
 	root := env.ToXML()
+	in := m.inputsOf(env)
+	vars := in.xpathContext()
 	record := m.decisions != nil
-	for _, mp := range compile.MonitoringsFor(m.repo, subject, operation) {
+	for _, mp := range policies {
 		start := m.clk.Now()
 		var checks []decision.Assertion
 		assertions := mp.Pre
@@ -212,7 +235,7 @@ func (m *Monitor) checkMessage(subject, operation string, env *soap.Envelope, co
 						Name: "contract", Matched: true, Reason: err.Error(),
 					})
 					checks = skipRemaining(checks, assertions, 0)
-					m.recordMessageDecision(mp.Name, subject, operation, env, dir, start, checks, v)
+					m.recordMessageDecision(mp.Name, subject, operation, in, dir, start, checks, v)
 				}
 				return m.violate(subject, operation, env, v)
 			}
@@ -221,7 +244,7 @@ func (m *Monitor) checkMessage(subject, operation string, env *soap.Envelope, co
 			}
 		}
 		for i, a := range assertions {
-			ok, err := a.EvalBool(root, m.xpathEnv(env))
+			ok, err := a.EvalBool(root, vars)
 			if err != nil || !ok {
 				v := &Violation{
 					Policy:    mp.Name,
@@ -241,7 +264,7 @@ func (m *Monitor) checkMessage(subject, operation string, env *soap.Envelope, co
 						Name: a.Name, Matched: true, Reason: reason, Value: v.Detail,
 					})
 					checks = skipRemaining(checks, assertions, i+1)
-					m.recordMessageDecision(mp.Name, subject, operation, env, dir, start, checks, v)
+					m.recordMessageDecision(mp.Name, subject, operation, in, dir, start, checks, v)
 				}
 				return m.violate(subject, operation, env, v)
 			}
@@ -250,7 +273,7 @@ func (m *Monitor) checkMessage(subject, operation string, env *soap.Envelope, co
 			}
 		}
 		if record {
-			m.recordMessageDecision(mp.Name, subject, operation, env, dir, start, checks, nil)
+			m.recordMessageDecision(mp.Name, subject, operation, in, dir, start, checks, nil)
 		}
 	}
 	return nil
@@ -271,7 +294,7 @@ func skipRemaining(checks []decision.Assertion, assertions []*compile.CompiledAs
 // recordMessageDecision emits one provenance record for the evaluation
 // of one monitoring policy against one message. v is the violation
 // when the policy fired, nil when every constraint held.
-func (m *Monitor) recordMessageDecision(policyName, subject, operation string, env *soap.Envelope, dir wsdl.Direction, start time.Time, checks []decision.Assertion, v *Violation) {
+func (m *Monitor) recordMessageDecision(policyName, subject, operation string, in messageInputs, dir wsdl.Direction, start time.Time, checks []decision.Assertion, v *Violation) {
 	trigger := "message.request"
 	if dir == wsdl.Response {
 		trigger = "message.response"
@@ -288,14 +311,11 @@ func (m *Monitor) recordMessageDecision(policyName, subject, operation string, e
 		Assertions: checks,
 		Latency:    m.clk.Since(start),
 	}
-	if env != nil {
-		rec.Instance = soap.ProcessInstanceID(env)
-		rec.Conversation = conversationOf(env)
-		inputs := map[string]string{"instanceID": rec.Instance}
-		if m.store != nil {
-			inputs["instanceMessageCount"] = strconv.Itoa(m.store.CountForInstance(rec.Instance))
-		}
-		rec.Inputs = inputs
+	rec.Instance = in.instanceID
+	rec.Conversation = in.conversation
+	rec.Inputs = map[string]string{"instanceID": in.instanceID}
+	if in.counted {
+		rec.Inputs["instanceMessageCount"] = strconv.Itoa(in.count)
 	}
 	if v != nil {
 		rec.Verdict = decision.VerdictMatched
@@ -306,18 +326,35 @@ func (m *Monitor) recordMessageDecision(policyName, subject, operation string, e
 	m.decisions.Record(rec)
 }
 
-// xpathEnv exposes evaluation variables to monitoring assertions,
+// messageInputs are the per-message values monitoring assertions and
+// decision records read, gathered once per message.
+type messageInputs struct {
+	instanceID   string
+	conversation string
+	counted      bool // a MonitoringStore supplied count
+	count        int
+}
+
+func (m *Monitor) inputsOf(env *soap.Envelope) messageInputs {
+	in := messageInputs{
+		instanceID:   soap.ProcessInstanceID(env),
+		conversation: conversationOf(env),
+	}
+	if m.store != nil {
+		in.counted = true
+		in.count = m.store.CountForInstance(in.instanceID)
+	}
+	return in
+}
+
+// xpathContext exposes evaluation variables to monitoring assertions,
 // including message history counts from the MonitoringStore ("the
 // Monitoring Service might reference data from external sources to
 // obtain data not available in the exchange messages").
-func (m *Monitor) xpathEnv(env *soap.Envelope) xpath.Context {
-	vars := map[string]xpath.Value{}
-	if env != nil {
-		instID := soap.ProcessInstanceID(env)
-		vars["instanceID"] = xpath.String(instID)
-		if m.store != nil {
-			vars["instanceMessageCount"] = xpath.Number(m.store.CountForInstance(instID))
-		}
+func (in messageInputs) xpathContext() xpath.Context {
+	vars := map[string]xpath.Value{"instanceID": xpath.String(in.instanceID)}
+	if in.counted {
+		vars["instanceMessageCount"] = xpath.Number(in.count)
 	}
 	return xpath.Context{Vars: vars}
 }
@@ -583,16 +620,11 @@ func (m *Monitor) publish(e event.Event) {
 // MASCMonitoringService to trigger dynamic customization policies) and
 // stores the message when a store is attached.
 func (m *Monitor) ObserveMessage(subject, operation string, env *soap.Envelope, dir wsdl.Direction) {
-	if m.store != nil && env != nil {
-		m.store.Record(StoredMessage{
-			Time:       m.clk.Now(),
-			InstanceID: soap.ProcessInstanceID(env),
-			Subject:    subject,
-			Operation:  operation,
-			Direction:  dir,
-			Envelope:   env.Clone(),
-		})
-	}
+	m.storeMessage(subject, operation, env, dir)
+	m.publishIntercepted(subject, operation, env)
+}
+
+func (m *Monitor) publishIntercepted(subject, operation string, env *soap.Envelope) {
 	m.publish(event.Event{
 		Type:              event.TypeMessageIntercepted,
 		Time:              m.clk.Now(),
@@ -603,6 +635,3 @@ func (m *Monitor) ObserveMessage(subject, operation string, env *soap.Envelope, 
 		Message:           env,
 	})
 }
-
-// duration formatting helper kept for diagnostics consistency.
-var _ = time.Duration(0)

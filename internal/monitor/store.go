@@ -24,12 +24,18 @@ type StoredMessage struct {
 // messages that supports "situations when adaptation pre-conditions
 // refer to several different SOAP messages" (§2.1) and "querying the
 // log of prior interactions to get some historical data" (§3.1(2)).
+// It is a fixed ring: once full, Record overwrites the oldest slot.
+// Per-instance counts are kept beside the ring, so CountForInstance is
+// a map lookup; an instance's entry is deleted when its last message
+// is evicted, which bounds the map by the ring size.
 // Store is safe for concurrent use.
 type Store struct {
 	limit int
 
 	mu       sync.Mutex
-	messages []StoredMessage
+	messages []StoredMessage // ring; grows to limit, then wraps
+	oldest   int             // index of the oldest message once full
+	counts   map[string]int  // InstanceID -> retained messages
 }
 
 // NewStore builds a store retaining at most limit messages (oldest
@@ -38,17 +44,26 @@ func NewStore(limit int) *Store {
 	if limit <= 0 {
 		limit = 1024
 	}
-	return &Store{limit: limit}
+	return &Store{limit: limit, counts: map[string]int{}}
 }
 
 // Record appends a message, evicting the oldest beyond the limit.
 func (s *Store) Record(m StoredMessage) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.messages = append(s.messages, m)
-	if len(s.messages) > s.limit {
-		s.messages = append(s.messages[:0], s.messages[len(s.messages)-s.limit:]...)
+	if len(s.messages) < s.limit {
+		s.messages = append(s.messages, m)
+	} else {
+		evicted := s.messages[s.oldest].InstanceID
+		if n := s.counts[evicted] - 1; n > 0 {
+			s.counts[evicted] = n
+		} else {
+			delete(s.counts, evicted)
+		}
+		s.messages[s.oldest] = m
+		s.oldest = (s.oldest + 1) % s.limit
 	}
+	s.counts[m.InstanceID]++
 }
 
 // Len returns the number of retained messages.
@@ -63,13 +78,7 @@ func (s *Store) Len() int {
 func (s *Store) CountForInstance(instanceID string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, m := range s.messages {
-		if m.InstanceID == instanceID {
-			n++
-		}
-	}
-	return n
+	return s.counts[instanceID]
 }
 
 // Filter selects retained messages; zero-valued fields match anything.
@@ -102,11 +111,15 @@ func (s *Store) Query(f Filter) []StoredMessage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []StoredMessage
-	for _, m := range s.messages {
-		if f.matches(m) {
-			cp := m
-			cp.Envelope = m.Envelope.Clone()
-			out = append(out, cp)
+	// Oldest first: the slots from oldest to the end, then the ones
+	// before it. Until the ring first wraps, oldest is 0 and the second
+	// part is empty.
+	for _, part := range [2][]StoredMessage{s.messages[s.oldest:], s.messages[:s.oldest]} {
+		for _, m := range part {
+			if f.matches(m) {
+				m.Envelope = m.Envelope.Clone()
+				out = append(out, m)
+			}
 		}
 	}
 	return out
@@ -135,5 +148,7 @@ func (s *Store) CountMatching(f Filter, expr *xpath.Compiled) (int, error) {
 func (s *Store) Reset() {
 	s.mu.Lock()
 	s.messages = nil
+	s.oldest = 0
+	clear(s.counts)
 	s.mu.Unlock()
 }

@@ -190,9 +190,35 @@ func (e *Envelope) ToXML() *xmltree.Element {
 	return env
 }
 
-// Encode serializes the envelope to XML text.
+// Encode serializes the envelope to XML text. The output is byte for
+// byte that of MarshalString(e.ToXML()), but a non-fault envelope is
+// marshalled through a shallow view: the Envelope/Header/Body wrappers
+// point at the existing header blocks and payload without copying or
+// re-parenting them.
 func (e *Envelope) Encode() (string, error) {
-	return xmltree.MarshalString(e.ToXML())
+	if e.Fault != nil {
+		return xmltree.MarshalString(e.ToXML())
+	}
+	// One struct holds the whole view, so it costs one allocation.
+	var v struct {
+		env, header, body xmltree.Element
+		envChildren       [2]*xmltree.Element
+		bodyChild         [1]*xmltree.Element
+	}
+	v.env.Name = xmltree.Name{Space: NamespaceEnvelope, Local: "Envelope"}
+	v.env.Children = v.envChildren[:0]
+	if len(e.Headers) > 0 {
+		v.header.Name = xmltree.Name{Space: NamespaceEnvelope, Local: "Header"}
+		v.header.Children = e.Headers
+		v.env.Children = append(v.env.Children, &v.header)
+	}
+	v.body.Name = xmltree.Name{Space: NamespaceEnvelope, Local: "Body"}
+	if e.Payload != nil {
+		v.bodyChild[0] = e.Payload
+		v.body.Children = v.bodyChild[:]
+	}
+	v.env.Children = append(v.env.Children, &v.body)
+	return xmltree.MarshalString(&v.env)
 }
 
 // MustEncode serializes the envelope, panicking on writer errors (which

@@ -40,7 +40,7 @@ func (c *clusterSettings) enabled() bool { return c.nodeID != "" }
 func parseSeed(s string) (cluster.NodeInfo, error) {
 	id, addr, ok := strings.Cut(s, "=")
 	if !ok || id == "" || addr == "" {
-		return cluster.NodeInfo{}, fmt.Errorf("-cluster-seed: want id=http://host:port, got %q", s)
+		return cluster.NodeInfo{}, fmt.Errorf("want id=http://host:port, got %q", s)
 	}
 	return cluster.NodeInfo{ID: id, Addr: strings.TrimRight(addr, "/")}, nil
 }

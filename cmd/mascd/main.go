@@ -96,6 +96,11 @@
 // under <data-dir>/decisions; -decision-log-segment caps one segment's
 // bytes and -decision-log-keep bounds how many segments are retained.
 //
+// Flags are parsed by the standard flag package, so -name value and
+// -name=value both work and mascd -h prints every flag with its
+// default. -cluster-seed may be repeated; positional arguments are
+// rejected.
+//
 // The unversioned paths (/metrics, /traces, /logs, /messages,
 // /healthz, /readyz) remain as deprecated aliases.
 package main
@@ -103,6 +108,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -151,178 +158,90 @@ func main() {
 	}
 }
 
-func run(args []string) error {
-	listen := ":8080"
-	policyPath := ""
-	policyDir := ""
-	policyInterp := false
-	dataDir := ""
-	syncMode := "batched"
-	ckptOpts := workflow.PersistenceOptions{}
-	exportURL := ""
-	exportInterval := 15 * time.Second
-	decisionRing := 0
-	decisionLogOpts := decision.LogOptions{}
-	clusterCfg := clusterSettings{}
-	debug := false
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "-listen":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-listen needs an address")
-			}
-			listen = args[i]
-		case "-policies":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-policies needs a file")
-			}
-			policyPath = args[i]
-		case "-policy-dir":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-policy-dir needs a directory")
-			}
-			policyDir = args[i]
-		case "-policy-interp":
-			policyInterp = true
-		case "-data-dir":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-data-dir needs a directory")
-			}
-			dataDir = args[i]
-		case "-sync":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-sync needs a mode (always, batched, off)")
-			}
-			syncMode = args[i]
-		case "-ckpt-anchor-every":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-ckpt-anchor-every needs a record count")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 1 {
-				return fmt.Errorf("-ckpt-anchor-every: want a positive integer, got %q", args[i])
-			}
-			ckptOpts.AnchorEvery = n
-		case "-ckpt-queue":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-ckpt-queue needs a queue depth")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 1 {
-				return fmt.Errorf("-ckpt-queue: want a positive integer, got %q", args[i])
-			}
-			ckptOpts.QueueDepth = n
-		case "-ckpt-durable-finish":
-			ckptOpts.DurableFinish = true
-		case "-decision-ring":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-decision-ring needs a record count")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 1 {
-				return fmt.Errorf("-decision-ring: want a positive integer, got %q", args[i])
-			}
-			decisionRing = n
-		case "-decision-log-segment":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-decision-log-segment needs a byte count")
-			}
-			n, err := strconv.ParseInt(args[i], 10, 64)
-			if err != nil || n < 1 {
-				return fmt.Errorf("-decision-log-segment: want a positive byte count, got %q", args[i])
-			}
-			decisionLogOpts.SegmentBytes = n
-		case "-decision-log-keep":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-decision-log-keep needs a segment count")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 1 {
-				return fmt.Errorf("-decision-log-keep: want a positive integer, got %q", args[i])
-			}
-			decisionLogOpts.MaxSegments = n
-		case "-export-url":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-export-url needs a URL")
-			}
-			exportURL = args[i]
-		case "-export-interval":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-export-interval needs a duration")
-			}
-			iv, err := time.ParseDuration(args[i])
-			if err != nil {
-				return fmt.Errorf("-export-interval: %w", err)
-			}
-			exportInterval = iv
-		case "-node-id":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-node-id needs an identifier")
-			}
-			clusterCfg.nodeID = args[i]
-		case "-advertise":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-advertise needs a base URL")
-			}
-			clusterCfg.advertise = strings.TrimRight(args[i], "/")
-		case "-cluster-seed":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-cluster-seed needs id=http://host:port")
-			}
-			seed, err := parseSeed(args[i])
-			if err != nil {
-				return err
-			}
-			clusterCfg.seeds = append(clusterCfg.seeds, seed)
-		case "-replication-level":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-replication-level needs a follower count")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 0 {
-				return fmt.Errorf("-replication-level: want a non-negative integer, got %q", args[i])
-			}
-			clusterCfg.replicationLevel = n
-		case "-cluster-secret":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-cluster-secret needs a token")
-			}
-			clusterCfg.secret = args[i]
-		case "-cluster-heartbeat":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-cluster-heartbeat needs a duration")
-			}
-			iv, err := time.ParseDuration(args[i])
-			if err != nil {
-				return fmt.Errorf("-cluster-heartbeat: %w", err)
-			}
-			clusterCfg.heartbeat = iv
-		case "-debug":
-			debug = true
-		case "-version":
-			fmt.Println("mascd", version.Version)
-			return nil
-		default:
-			return fmt.Errorf("unknown flag %q", args[i])
+// options is mascd's parsed command line.
+type options struct {
+	listen, policyPath, policyDir string
+	policyInterp                  bool
+	dataDir, syncMode             string
+	ckpt                          workflow.PersistenceOptions
+	exportURL                     string
+	exportInterval                time.Duration
+	decisionRing                  int
+	decisionLog                   decision.LogOptions
+	cluster                       clusterSettings
+	debug, version                bool
+}
+
+// parseFlags parses mascd's command line. -h returns flag.ErrHelp
+// after printing the usage.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("mascd", flag.ContinueOnError)
+	fs.StringVar(&o.listen, "listen", ":8080", "gateway listen address")
+	fs.StringVar(&o.policyPath, "policies", "", "WS-Policy4MASC document replacing the built-in one")
+	fs.StringVar(&o.policyDir, "policy-dir", "", "directory of *.xml policy documents (excludes -policies)")
+	fs.BoolVar(&o.policyInterp, "policy-interp", false, "evaluate policies with the tree interpreter instead of the compiled IR")
+	fs.StringVar(&o.dataDir, "data-dir", "", "directory of the durable store (WAL, snapshots, flight recorder, decision log)")
+	fs.StringVar(&o.syncMode, "sync", "batched", "store fsync policy: always, batched or off")
+	intFlag(fs, &o.ckpt.AnchorEvery, "ckpt-anchor-every", 1, "checkpoint records per delta chain before a full snapshot")
+	intFlag(fs, &o.ckpt.QueueDepth, "ckpt-queue", 1, "async checkpoint queue depth")
+	fs.BoolVar(&o.ckpt.DurableFinish, "ckpt-durable-finish", false, "make instance completion wait for the terminal checkpoint's fsync")
+	intFlag(fs, &o.decisionRing, "decision-ring", 1, "decision records kept in memory (default 4096)")
+	intFlag(fs, &o.decisionLog.SegmentBytes, "decision-log-segment", 1, "bytes per decision-log segment")
+	intFlag(fs, &o.decisionLog.MaxSegments, "decision-log-keep", 1, "decision-log segments retained")
+	fs.StringVar(&o.exportURL, "export-url", "", "URL the metrics exporter pushes to")
+	fs.DurationVar(&o.exportInterval, "export-interval", 15*time.Second, "metrics export period")
+	fs.StringVar(&o.cluster.nodeID, "node-id", "", "cluster node identifier (enables cluster mode)")
+	fs.StringVar(&o.cluster.advertise, "advertise", "", "base URL peers reach this node at")
+	fs.Func("cluster-seed", "peer as id=http://host:port (repeatable)", func(s string) error {
+		seed, err := parseSeed(s)
+		if err != nil {
+			return err
 		}
+		o.cluster.seeds = append(o.cluster.seeds, seed)
+		return nil
+	})
+	intFlag(fs, &o.cluster.replicationLevel, "replication-level", 0, "WAL followers per node")
+	fs.StringVar(&o.cluster.secret, "cluster-secret", "", "shared token for intra-cluster requests")
+	fs.DurationVar(&o.cluster.heartbeat, "cluster-heartbeat", 0, "failure-detector heartbeat interval (default 1s)")
+	fs.BoolVar(&o.debug, "debug", false, "mount /debug/pprof")
+	fs.BoolVar(&o.version, "version", false, "print the version and exit")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if fs.NArg() > 0 {
+		return o, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if o.policyPath != "" && o.policyDir != "" {
+		return o, fmt.Errorf("-policies and -policy-dir are mutually exclusive")
+	}
+	o.cluster.advertise = strings.TrimRight(o.cluster.advertise, "/")
+	return o, nil
+}
+
+// intFlag registers an integer flag that rejects values below least.
+func intFlag[T int | int64](fs *flag.FlagSet, dst *T, name string, least T, usage string) {
+	fs.Func(name, usage, func(s string) error {
+		n, err := strconv.ParseInt(s, 10, 64)
+		if err != nil || T(n) < least {
+			return fmt.Errorf("want an integer >= %d, got %q", least, s)
+		}
+		*dst = T(n)
+		return nil
+	})
+}
+
+func run(args []string) error {
+	o, err := parseFlags(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if o.version {
+		fmt.Println("mascd", version.Version)
+		return nil
 	}
 
 	// Backend SCM services on an in-process network but also exposed
@@ -333,17 +252,13 @@ func run(args []string) error {
 		return err
 	}
 
-	if policyPath != "" && policyDir != "" {
-		return fmt.Errorf("-policies and -policy-dir are mutually exclusive")
-	}
-
 	tel := telemetry.New(0)
 	events := event.NewBus()
 
 	// Policies compile to the decision IR by default; -policy-interp
 	// keeps the tree interpreter (the differential-testing escape hatch).
 	repo := policy.NewRepository()
-	if !policyInterp {
+	if !o.policyInterp {
 		if err := compile.Enable(repo, compile.Options{
 			Registry: tel.Registry(),
 			Journal:  tel.Logs(),
@@ -351,8 +266,8 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if policyDir != "" {
-		bundle, err := compile.LoadDir(policyDir)
+	if o.policyDir != "" {
+		bundle, err := compile.LoadDir(o.policyDir)
 		if err != nil {
 			return err
 		}
@@ -361,8 +276,8 @@ func run(args []string) error {
 		}
 	} else {
 		policyXML := defaultPolicies
-		if policyPath != "" {
-			raw, err := os.ReadFile(policyPath)
+		if o.policyPath != "" {
+			raw, err := os.ReadFile(o.policyPath)
 			if err != nil {
 				return err
 			}
@@ -376,25 +291,25 @@ func run(args []string) error {
 	// Decision provenance: every policy-evaluation site records into
 	// this ring; with -data-dir the records additionally stream to a
 	// durable NDJSON log under <data-dir>/decisions.
-	dec := decision.NewRecorder(decisionRing, tel.Registry())
+	dec := decision.NewRecorder(o.decisionRing, tel.Registry())
 
 	d := &daemon{
 		network:   network,
 		repo:      repo,
-		policyDir: policyDir,
+		policyDir: o.policyDir,
 		tel:       tel,
 		start:     time.Now(),
-		ckptOpts:  ckptOpts,
+		ckptOpts:  o.ckpt,
 		decisions: dec,
 	}
-	if clusterCfg.enabled() && clusterCfg.advertise == "" {
+	if o.cluster.enabled() && o.cluster.advertise == "" {
 		return fmt.Errorf("-node-id requires -advertise (peers must be able to reach this node)")
 	}
-	if dataDir != "" {
+	if o.dataDir != "" {
 		// Cluster mode keeps every WAL segment (no snapshot compaction):
 		// followers replicate the raw log, and a compacted segment would
 		// break their cursors mid-stream.
-		st, err := openDataDir(dataDir, syncMode, d, clusterCfg.enabled())
+		st, err := openDataDir(o.dataDir, o.syncMode, d, o.cluster.enabled())
 		if err != nil {
 			return err
 		}
@@ -452,13 +367,13 @@ func run(args []string) error {
 		}
 	}()
 
-	if dataDir != "" {
+	if o.dataDir != "" {
 		rec, err := flightrec.New(flightrec.Options{
-			Dir:       filepath.Join(dataDir, "flightrec"),
+			Dir:       filepath.Join(o.dataDir, "flightrec"),
 			Telemetry: tel,
 			SLOState:  func() interface{} { return d.slo.Status() },
 			Decisions: dec,
-			Node:      clusterCfg.nodeID,
+			Node:      o.cluster.nodeID,
 		})
 		if err != nil {
 			return err
@@ -467,8 +382,8 @@ func run(args []string) error {
 		d.flight = rec
 		defer rec.Close()
 
-		decisionLogOpts.Metrics = tel.Registry()
-		dlog, err := decision.OpenLog(filepath.Join(dataDir, "decisions"), decisionLogOpts)
+		o.decisionLog.Metrics = tel.Registry()
+		dlog, err := decision.OpenLog(filepath.Join(o.dataDir, "decisions"), o.decisionLog)
 		if err != nil {
 			return err
 		}
@@ -476,11 +391,11 @@ func run(args []string) error {
 		defer dlog.Close()
 	}
 
-	if exportURL != "" {
+	if o.exportURL != "" {
 		exp := telemetry.NewExporter(tel.Registry(), telemetry.ExporterOptions{
-			URL:      exportURL,
-			Interval: exportInterval,
-			Node:     listen,
+			URL:      o.exportURL,
+			Interval: o.exportInterval,
+			Node:     o.listen,
 			Version:  version.Version,
 			Extra: func() map[string]interface{} {
 				return map[string]interface{}{"slo": d.slo.Status()}
@@ -505,8 +420,8 @@ func run(args []string) error {
 		// (deferred closes run last-in-first-out).
 		defer d.persist.Close()
 	}
-	if clusterCfg.enabled() {
-		cr, err := setupCluster(d, clusterCfg, dataDir)
+	if o.cluster.enabled() {
+		cr, err := setupCluster(d, o.cluster, o.dataDir)
 		if err != nil {
 			return err
 		}
@@ -514,15 +429,15 @@ func run(args []string) error {
 		cr.start()
 		defer cr.Stop()
 	}
-	mux := d.routes(debug)
+	mux := d.routes(o.debug)
 
 	// The startup entry lands in the journal (first /logs line) and on
 	// stderr as a JSON log line.
 	tel.Logger("mascd").Output(os.Stderr).Info("mascd starting",
-		"version", version.Version, "listen", listen,
+		"version", version.Version, "listen", o.listen,
 		"veps", strings.Join(gateway.VEPs(), ","))
 
-	ln, err := net.Listen("tcp", listen)
+	ln, err := net.Listen("tcp", o.listen)
 	if err != nil {
 		return err
 	}

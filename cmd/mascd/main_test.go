@@ -133,17 +133,69 @@ func TestDirectHandlerRoutesByPath(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-bogus"}); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("err = %v", err)
+	valueFlags := []string{
+		"listen", "policies", "policy-dir", "data-dir", "sync",
+		"ckpt-anchor-every", "ckpt-queue", "decision-ring",
+		"decision-log-segment", "decision-log-keep", "export-url",
+		"export-interval", "node-id", "advertise", "cluster-seed",
+		"replication-level", "cluster-secret", "cluster-heartbeat",
 	}
-	if err := run([]string{"-listen"}); err == nil {
-		t.Fatal("dangling -listen accepted")
+	cases := []struct {
+		args []string
+		want string // the error must name this
+	}{
+		{[]string{"-bogus"}, "bogus"},
+		{[]string{"-ckpt-anchor-every", "0"}, "-ckpt-anchor-every"},
+		{[]string{"-ckpt-queue", "0"}, "-ckpt-queue"},
+		{[]string{"-decision-ring", "-1"}, "-decision-ring"},
+		{[]string{"-decision-log-segment", "0"}, "-decision-log-segment"},
+		{[]string{"-decision-log-keep", "x"}, "-decision-log-keep"},
+		{[]string{"-replication-level", "-1"}, "-replication-level"},
+		{[]string{"-export-interval", "x"}, "-export-interval"},
+		{[]string{"-cluster-heartbeat", "x"}, "-cluster-heartbeat"},
+		{[]string{"-cluster-seed", "no-address"}, "-cluster-seed"},
+		{[]string{"-cluster-seed", "=http://x"}, "-cluster-seed"},
+		{[]string{"-listen", ":0", "stray"}, "stray"},
+		{[]string{"-policies", "a.xml", "-policy-dir", "d"}, "-policy-dir"},
 	}
-	if err := run([]string{"-policies"}); err == nil {
-		t.Fatal("dangling -policies accepted")
+	for _, name := range valueFlags {
+		cases = append(cases, struct {
+			args []string
+			want string
+		}{[]string{"-" + name}, "-" + name})
+	}
+	for _, c := range cases {
+		err := run(c.args)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%q) = %v, want an error naming %q", c.args, err, c.want)
+		}
 	}
 	if err := run([]string{"-policies", "/does/not/exist.xml"}); err == nil {
 		t.Fatal("missing policy file accepted")
+	}
+}
+
+func TestParseFlagsAccumulatesSeeds(t *testing.T) {
+	o, err := parseFlags([]string{
+		"-cluster-seed", "a=http://h1:1/", "-cluster-seed=b=http://h2:2",
+		"-advertise", "http://me:3/", "-decision-ring=7",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := o.cluster.seeds
+	if len(seeds) != 2 || seeds[0].ID != "a" || seeds[0].Addr != "http://h1:1" ||
+		seeds[1].ID != "b" || seeds[1].Addr != "http://h2:2" {
+		t.Fatalf("seeds = %+v", seeds)
+	}
+	if o.cluster.advertise != "http://me:3" || o.decisionRing != 7 {
+		t.Fatalf("advertise = %q, decision ring = %d", o.cluster.advertise, o.decisionRing)
+	}
+	if o.listen != ":8080" || o.syncMode != "batched" || o.exportInterval != 15*time.Second {
+		t.Fatalf("defaults = %+v", o)
+	}
+	if err := run([]string{"-h"}); err != nil {
+		t.Fatalf("run -h: %v", err)
 	}
 }
 

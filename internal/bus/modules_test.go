@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"regexp"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -377,4 +378,24 @@ func TestListenerCloseIdempotent(t *testing.T) {
 	l := NewListener(inner, 2)
 	l.Close()
 	l.Close()
+}
+
+// BenchmarkMessageLogger measures logging one request into a full log;
+// its cost must not grow with the retention limit.
+func BenchmarkMessageLogger(b *testing.B) {
+	mc := &MessageContext{VEP: "Retailer", Operation: "getCatalog",
+		Request: soap.NewRequest(xmltree.NewText("urn:scm", "getCatalog", "tv"))}
+	for _, limit := range []int{128, 65536} {
+		b.Run("cap="+strconv.Itoa(limit), func(b *testing.B) {
+			l := NewMessageLogger(time.Now, limit)
+			for i := 0; i < limit; i++ {
+				_ = l.ProcessRequest(mc)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = l.ProcessRequest(mc)
+			}
+		})
+	}
 }

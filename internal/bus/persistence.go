@@ -130,8 +130,8 @@ func (q *RetryQueue) loadPersisted() uint64 {
 }
 
 // bindStore attaches durable write-through to the dead-letter queue and
-// reloads retained letters. Called once, before the queue reader
-// starts, so no locking subtleties arise.
+// reloads retained letters, oldest first. Called once, on the empty
+// queue, before the queue reader starts.
 func (q *DeadLetterQueue) bindStore(st *store.Store) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -145,28 +145,21 @@ func (q *DeadLetterQueue) bindStore(st *store.Store) {
 		if err != nil {
 			continue
 		}
-		q.letters = append(q.letters, DeadLetter{
+		q.pushLocked(keyedLetter{key: rec.Key, letter: DeadLetter{
 			Endpoint: p.Endpoint,
 			Envelope: env,
 			Attempts: p.Attempts,
 			LastErr:  p.LastErr,
 			Time:     p.Time,
-		})
-		q.keys = append(q.keys, rec.Key)
+		}})
 	}
-	// Letters added before the store was bound get persisted now.
-	for len(q.keys) < len(q.letters) {
-		q.persistLetterLocked(q.letters[len(q.keys)])
-	}
-	q.enforceCapLocked()
 }
 
-// persistLetterLocked journals one dead letter and records its key for
-// eviction bookkeeping. Caller holds q.mu.
-func (q *DeadLetterQueue) persistLetterLocked(d DeadLetter) {
+// persistLetterLocked journals one dead letter and returns its record
+// key. Caller holds q.mu.
+func (q *DeadLetterQueue) persistLetterLocked(d DeadLetter) string {
 	key := persistSeqKey(q.seq)
 	q.seq++
-	q.keys = append(q.keys, key)
 	raw, err := json.Marshal(persistedMessage{
 		Endpoint: d.Endpoint,
 		Envelope: d.Envelope.MustEncode(),
@@ -177,4 +170,5 @@ func (q *DeadLetterQueue) persistLetterLocked(d DeadLetter) {
 	if err == nil {
 		_ = q.st.Put(SpaceDLQ, key, raw)
 	}
+	return key
 }

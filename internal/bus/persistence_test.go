@@ -126,7 +126,8 @@ func TestRetryEntriesSurviveCrash(t *testing.T) {
 }
 
 // TestDLQSurvivesRestart: dead letters written through the store reload
-// on the next start, preserving endpoint, attempt count, and error.
+// on the next start in their original order, one durable record per
+// retained letter, preserving endpoint, attempt count, and error.
 func TestDLQSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openBusStore(t, dir)
@@ -137,14 +138,16 @@ func TestDLQSurvivesRestart(t *testing.T) {
 		PollInterval: time.Millisecond,
 		Store:        st1,
 	})
-	done := q1.Enqueue("inproc://log", logEnv())
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("expected dead-letter outcome")
+	endpoints := []string{"inproc://log", "inproc://log-b", "inproc://log-c"}
+	for _, ep := range endpoints {
+		select {
+		case err := <-q1.Enqueue(ep, logEnv()):
+			if err == nil {
+				t.Fatal("expected dead-letter outcome")
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("message never settled")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("message never settled")
 	}
 	q1.Stop()
 	st1.Close()
@@ -160,8 +163,16 @@ func TestDLQSurvivesRestart(t *testing.T) {
 	defer q2.Stop()
 
 	letters := q2.DLQ().Letters()
-	if len(letters) != 1 {
+	if len(letters) != len(endpoints) {
 		t.Fatalf("reloaded DLQ = %+v", letters)
+	}
+	for i, l := range letters {
+		if l.Endpoint != endpoints[i] {
+			t.Fatalf("reloaded letter %d endpoint = %q, want %q", i, l.Endpoint, endpoints[i])
+		}
+	}
+	if got := len(st2.List(SpaceDLQ)); got != q2.DLQ().Len() {
+		t.Fatalf("durable DLQ records = %d, retained letters = %d", got, q2.DLQ().Len())
 	}
 	l := letters[0]
 	if l.Endpoint != "inproc://log" || l.Attempts != 2 || l.LastErr == "" {

@@ -10,6 +10,7 @@ import (
 	"github.com/masc-project/masc/internal/policy"
 	"github.com/masc-project/masc/internal/qos"
 	"github.com/masc-project/masc/internal/soap"
+	"github.com/masc-project/masc/internal/store"
 	"github.com/masc-project/masc/internal/transport"
 	"github.com/masc-project/masc/internal/xmltree"
 )
@@ -163,5 +164,60 @@ func TestRegisterDeregisterDuringInvoke(t *testing.T) {
 	case <-finished:
 	case <-time.After(30 * time.Second):
 		t.Fatal("goroutines did not finish")
+	}
+}
+
+// TestDLQConcurrentUseKeepsDurableRecordsInStep adds dead letters to a
+// store-bound queue from several goroutines while others read it. Each
+// retained letter must keep exactly one durable record, so the store
+// holds as many records as the ring after the evictions.
+func TestDLQConcurrentUseKeepsDurableRecordsInStep(t *testing.T) {
+	const (
+		capacity = 8
+		writers  = 4
+		perW     = 50
+	)
+	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	q := NewDeadLetterQueue(capacity)
+	q.bindStore(st)
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				q.Add(DeadLetter{Endpoint: fmt.Sprintf("inproc://%d/%d", w, i), Envelope: logEnv()})
+				if i%10 == 0 {
+					_ = q.Letters()
+					_ = q.Len()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if q.Len() != capacity || q.Dropped() != writers*perW-capacity {
+		t.Fatalf("len = %d dropped = %d, want %d and %d", q.Len(), q.Dropped(), capacity, writers*perW-capacity)
+	}
+	records := st.List(SpaceDLQ)
+	if len(records) != capacity {
+		t.Fatalf("durable records = %d, want %d", len(records), capacity)
+	}
+	for _, l := range q.Letters() {
+		found := false
+		for _, raw := range records {
+			p, _, err := decodePersisted(raw)
+			if err == nil && p.Endpoint == l.Endpoint {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("retained letter %s has no durable record", l.Endpoint)
+		}
 	}
 }

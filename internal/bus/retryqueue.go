@@ -9,6 +9,7 @@ import (
 
 	"github.com/masc-project/masc/internal/clock"
 	"github.com/masc-project/masc/internal/policy"
+	"github.com/masc-project/masc/internal/ringbuf"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/store"
 	"github.com/masc-project/masc/internal/telemetry"
@@ -38,27 +39,32 @@ const DefaultDLQCapacity = 1024
 // concurrent use.
 type DeadLetterQueue struct {
 	mu      sync.Mutex
-	cap     int
 	dropped uint64
-	letters []DeadLetter
+	letters *ringbuf.Ring[keyedLetter]
 
-	// st, when bound, write-throughs every letter to SpaceDLQ; keys
-	// parallels letters (persist key per letter) for eviction deletes.
-	st   *store.Store
-	seq  uint64
-	keys []string
+	// st, when bound, write-throughs every letter to SpaceDLQ under the
+	// key kept beside it, so an eviction deletes its record.
+	st  *store.Store
+	seq uint64
 
 	// droppedCounter is a nil-safe telemetry handle.
 	droppedCounter *telemetry.Counter
 }
 
+// keyedLetter is a retained dead letter and its durable record key
+// (empty without a store).
+type keyedLetter struct {
+	key    string
+	letter DeadLetter
+}
+
 // NewDeadLetterQueue builds a queue holding at most capacity letters;
-// capacity 0 means DefaultDLQCapacity, negative means unbounded.
+// capacity <= 0 means DefaultDLQCapacity.
 func NewDeadLetterQueue(capacity int) *DeadLetterQueue {
-	if capacity == 0 {
+	if capacity <= 0 {
 		capacity = DefaultDLQCapacity
 	}
-	return &DeadLetterQueue{cap: capacity}
+	return &DeadLetterQueue{letters: ringbuf.New[keyedLetter](capacity)}
 }
 
 // Add appends a dead letter, evicting the oldest when full. The zero
@@ -67,34 +73,35 @@ func NewDeadLetterQueue(capacity int) *DeadLetterQueue {
 // their records.
 func (q *DeadLetterQueue) Add(d DeadLetter) {
 	q.mu.Lock()
+	defer q.mu.Unlock()
+	kl := keyedLetter{letter: d}
 	if q.st != nil {
-		q.persistLetterLocked(d)
+		kl.key = q.persistLetterLocked(d)
 	}
-	q.letters = append(q.letters, d)
-	q.enforceCapLocked()
-	q.mu.Unlock()
+	q.pushLocked(kl)
 }
 
-// enforceCapLocked evicts the oldest letters (and their durable
-// records) down to the capacity bound. Caller holds q.mu.
-func (q *DeadLetterQueue) enforceCapLocked() {
-	limit := q.cap
-	if limit == 0 {
-		limit = DefaultDLQCapacity
-	}
-	if limit <= 0 || len(q.letters) <= limit {
+// pushLocked retains one letter, deleting the durable record of the
+// letter it evicts. Caller holds q.mu.
+func (q *DeadLetterQueue) pushLocked(kl keyedLetter) {
+	evicted, ok := q.ringLocked().Push(kl)
+	if !ok {
 		return
 	}
-	drop := len(q.letters) - limit
-	if q.st != nil {
-		for _, k := range q.keys[:drop] {
-			_ = q.st.Delete(SpaceDLQ, k)
-		}
-		q.keys = append(q.keys[:0], q.keys[drop:]...)
+	if evicted.key != "" {
+		_ = q.st.Delete(SpaceDLQ, evicted.key)
 	}
-	q.letters = append(q.letters[:0], q.letters[drop:]...)
-	q.dropped += uint64(drop)
-	q.droppedCounter.Add(uint64(drop))
+	q.dropped++
+	q.droppedCounter.Inc()
+}
+
+// ringLocked returns the letter ring, building the default-capacity
+// one for the zero DeadLetterQueue. Caller holds q.mu.
+func (q *DeadLetterQueue) ringLocked() *ringbuf.Ring[keyedLetter] {
+	if q.letters == nil {
+		q.letters = ringbuf.New[keyedLetter](DefaultDLQCapacity)
+	}
+	return q.letters
 }
 
 // Dropped reports how many dead letters were evicted to stay within
@@ -105,12 +112,16 @@ func (q *DeadLetterQueue) Dropped() uint64 {
 	return q.dropped
 }
 
-// Letters returns a copy of the queue contents.
+// Letters returns a copy of the queue contents, oldest first.
 func (q *DeadLetterQueue) Letters() []DeadLetter {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]DeadLetter, len(q.letters))
-	copy(out, q.letters)
+	r := q.ringLocked()
+	out := make([]DeadLetter, 0, r.Len())
+	r.Each(func(kl keyedLetter) bool {
+		out = append(out, kl.letter)
+		return true
+	})
 	return out
 }
 
@@ -118,7 +129,7 @@ func (q *DeadLetterQueue) Letters() []DeadLetter {
 func (q *DeadLetterQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.letters)
+	return q.ringLocked().Len()
 }
 
 // queuedMessage is one message awaiting (re)delivery.
@@ -168,11 +179,6 @@ type RetryQueueConfig struct {
 	// Policy is the redelivery pattern; MaxAttempts counts retries
 	// after the first delivery attempt.
 	Policy policy.RetryAction
-	// DLQ receives abandoned messages (one is created if nil).
-	DLQ *DeadLetterQueue
-	// DLQCapacity bounds the created DLQ when DLQ is nil: 0 means
-	// DefaultDLQCapacity, negative means unbounded.
-	DLQCapacity int
 	// PollInterval is the queue reader's wakeup period (defaults to
 	// 10ms; with a fake clock, advance in multiples of it).
 	PollInterval time.Duration
@@ -194,16 +200,13 @@ func NewRetryQueue(cfg RetryQueueConfig) *RetryQueue {
 		clk:      cfg.Clock,
 		invoker:  cfg.Invoker,
 		retry:    cfg.Policy,
-		dlq:      cfg.DLQ,
+		dlq:      NewDeadLetterQueue(0),
 		pollTick: cfg.PollInterval,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	if q.clk == nil {
 		q.clk = clock.New()
-	}
-	if q.dlq == nil {
-		q.dlq = NewDeadLetterQueue(cfg.DLQCapacity)
 	}
 	if q.pollTick <= 0 {
 		q.pollTick = 10 * time.Millisecond
@@ -212,12 +215,8 @@ func NewRetryQueue(cfg RetryQueueConfig) *RetryQueue {
 		"Messages awaiting (re)delivery in the retry queue.").With()
 	q.deliveries = cfg.Metrics.Counter("masc_retryqueue_deliveries_total",
 		"Retry-queue delivery outcomes (delivered, requeued, dead).", "outcome")
-	q.dlq.mu.Lock()
-	if q.dlq.droppedCounter == nil {
-		q.dlq.droppedCounter = cfg.Metrics.Counter("masc_dlq_dropped_total",
-			"Dead letters evicted to respect the DLQ capacity bound.").With()
-	}
-	q.dlq.mu.Unlock()
+	q.dlq.droppedCounter = cfg.Metrics.Counter("masc_dlq_dropped_total",
+		"Dead letters evicted to respect the DLQ capacity bound.").With()
 	q.st = cfg.Store
 	q.journal = cfg.Journal
 	if q.st != nil {

@@ -244,13 +244,4 @@ func TestDeadLetterQueueBounded(t *testing.T) {
 	if z.Len() != DefaultDLQCapacity {
 		t.Fatalf("zero-value len = %d, want %d", z.Len(), DefaultDLQCapacity)
 	}
-
-	// Negative capacity keeps the old unbounded behaviour.
-	u := NewDeadLetterQueue(-1)
-	for i := 0; i < DefaultDLQCapacity+10; i++ {
-		u.Add(DeadLetter{})
-	}
-	if u.Len() != DefaultDLQCapacity+10 || u.Dropped() != 0 {
-		t.Fatalf("unbounded len = %d dropped = %d", u.Len(), u.Dropped())
-	}
 }

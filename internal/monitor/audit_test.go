@@ -9,6 +9,7 @@ import (
 	"github.com/masc-project/masc/internal/qos"
 	"github.com/masc-project/masc/internal/telemetry"
 	"github.com/masc-project/masc/internal/transport"
+	"github.com/masc-project/masc/internal/wsdl"
 )
 
 // auditSetup builds a monitor with a journal attached.
@@ -88,7 +89,7 @@ func TestInvocationFaultAuditCorrelatedByConversation(t *testing.T) {
 func TestPolicyViolationAudited(t *testing.T) {
 	m, _, j, _ := auditSetup(t)
 	bad := reqEnv(t, `<getCatalog xmlns="urn:scm"><category></category></getCatalog>`)
-	if v := m.CheckRequest("vep:Retailer", "getCatalog", bad, retailerContract()); v == nil {
+	if v := m.Intercept("vep:Retailer", "getCatalog", bad, retailerContract(), wsdl.Request); v == nil {
 		t.Fatal("empty category accepted")
 	}
 	audits := j.Entries(telemetry.Query{Kinds: []telemetry.Kind{telemetry.KindAudit}})

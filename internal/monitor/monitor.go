@@ -164,27 +164,22 @@ func New(repo *policy.Repository, opts ...Option) *Monitor {
 // Store returns the attached MonitoringStore (nil if none).
 func (m *Monitor) Store() *Store { return m.store }
 
-// CheckRequest stores a request message and evaluates pre-conditions
-// (and contract validation) of every monitoring policy scoped to
-// subject/operation against it. The first violation is returned and
-// published as a fault event; nil means the request conforms.
-func (m *Monitor) CheckRequest(subject, operation string, env *soap.Envelope, contract *wsdl.Contract) *Violation {
-	m.storeMessage(subject, operation, env, wsdl.Request)
-	return m.checkMessage(subject, operation, env, contract, wsdl.Request)
-}
-
 // CheckResponse stores a response message and evaluates post-conditions
-// of monitoring policies against it.
+// of monitoring policies against it, without publishing
+// message.intercepted: the VEP uses it to re-check a response that a
+// correction replaced after Intercept already saw the original.
 func (m *Monitor) CheckResponse(subject, operation string, env *soap.Envelope, contract *wsdl.Contract) *Violation {
 	m.storeMessage(subject, operation, env, wsdl.Response)
 	return m.checkMessage(subject, operation, env, contract, wsdl.Response)
 }
 
 // Intercept is the monitor's entry point for a message passing through
-// a VEP: it stores the message once, publishes message.intercepted and
-// then checks the pre-conditions (requests) or post-conditions
-// (responses), in that order. It is ObserveMessage followed by
-// CheckRequest/CheckResponse, except that the message is stored once.
+// a VEP: it stores the message once, publishes message.intercepted (the
+// trigger for dynamic customization policies) and then checks the
+// pre-conditions and contract (requests) or post-conditions
+// (responses) of every monitoring policy scoped to subject/operation,
+// in that order. The first violation is returned and published as a
+// fault event; nil means the message conforms.
 func (m *Monitor) Intercept(subject, operation string, env *soap.Envelope, contract *wsdl.Contract, dir wsdl.Direction) *Violation {
 	m.storeMessage(subject, operation, env, dir)
 	m.publishIntercepted(subject, operation, env)
@@ -614,14 +609,6 @@ func (m *Monitor) publish(e event.Event) {
 	if m.bus != nil {
 		m.bus.Publish(e)
 	}
-}
-
-// ObserveMessage records a message interception event (used by the
-// MASCMonitoringService to trigger dynamic customization policies) and
-// stores the message when a store is attached.
-func (m *Monitor) ObserveMessage(subject, operation string, env *soap.Envelope, dir wsdl.Direction) {
-	m.storeMessage(subject, operation, env, dir)
-	m.publishIntercepted(subject, operation, env)
 }
 
 func (m *Monitor) publishIntercepted(subject, operation string, env *soap.Envelope) {

@@ -109,12 +109,12 @@ func TestCheckRequestPreCondition(t *testing.T) {
 	c := retailerContract()
 
 	good := reqEnv(t, `<getCatalog xmlns="urn:scm"><category>tv</category></getCatalog>`)
-	if v := m.CheckRequest("vep:Retailer", "getCatalog", good, c); v != nil {
+	if v := m.Intercept("vep:Retailer", "getCatalog", good, c, wsdl.Request); v != nil {
 		t.Fatalf("good request violated: %v", v)
 	}
 
 	bad := reqEnv(t, `<getCatalog xmlns="urn:scm"><category></category></getCatalog>`)
-	v := m.CheckRequest("vep:Retailer", "getCatalog", bad, c)
+	v := m.Intercept("vep:Retailer", "getCatalog", bad, c, wsdl.Request)
 	if v == nil {
 		t.Fatal("empty category accepted")
 	}
@@ -148,7 +148,7 @@ func TestContractValidationViolation(t *testing.T) {
 	m, _, _, _ := setup(t)
 	c := retailerContract()
 	wrong := reqEnv(t, `<somethingElse xmlns="urn:scm"/>`)
-	v := m.CheckRequest("vep:Retailer", "getCatalog", wrong, c)
+	v := m.Intercept("vep:Retailer", "getCatalog", wrong, c, wsdl.Request)
 	if v == nil || v.Check != "contract" {
 		t.Fatalf("violation = %+v", v)
 	}
@@ -158,7 +158,7 @@ func TestScopeRestrictsChecks(t *testing.T) {
 	m, _, _, _ := setup(t)
 	// Different subject: no policies apply, anything passes.
 	odd := reqEnv(t, `<weird/>`)
-	if v := m.CheckRequest("vep:Other", "getCatalog", odd, nil); v != nil {
+	if v := m.Intercept("vep:Other", "getCatalog", odd, nil, wsdl.Request); v != nil {
 		t.Fatalf("out-of-scope request violated: %v", v)
 	}
 }
@@ -250,10 +250,12 @@ func TestReportInvocationFault(t *testing.T) {
 	}
 }
 
-func TestObserveMessagePublishesAndStores(t *testing.T) {
+func TestInterceptPublishesAndStores(t *testing.T) {
 	m, _, rec, _ := setup(t)
 	env := reqEnv(t, `<placeOrder xmlns="urn:trade"><Amount>5</Amount></placeOrder>`)
-	m.ObserveMessage("TradingProcess", "placeOrder", env, wsdl.Request)
+	if v := m.Intercept("TradingProcess", "placeOrder", env, nil, wsdl.Request); v != nil {
+		t.Fatalf("out-of-scope request violated: %v", v)
+	}
 
 	evs := rec.OfType(event.TypeMessageIntercepted)
 	if len(evs) != 1 || evs[0].Operation != "placeOrder" {
@@ -277,13 +279,13 @@ func TestHistoryVariableInAssertions(t *testing.T) {
 	}
 	m := New(repo, WithStore(NewStore(10)))
 	env := reqEnv(t, `<op/>`)
-	// Each CheckRequest stores the message first, so counts include it.
+	// Intercept stores the message first, so counts include it.
 	for i := 0; i < 3; i++ {
-		if v := m.CheckRequest("S", "op", env, nil); v != nil {
+		if v := m.Intercept("S", "op", env, nil, wsdl.Request); v != nil {
 			t.Fatalf("message %d violated: %v", i+1, v)
 		}
 	}
-	if v := m.CheckRequest("S", "op", env, nil); v == nil {
+	if v := m.Intercept("S", "op", env, nil, wsdl.Request); v == nil {
 		t.Fatal("fourth message accepted despite history limit")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/masc-project/masc/internal/ringbuf"
 	"github.com/masc-project/masc/internal/soap"
 	"github.com/masc-project/masc/internal/wsdl"
 	"github.com/masc-project/masc/internal/xpath"
@@ -30,12 +31,9 @@ type StoredMessage struct {
 // is evicted, which bounds the map by the ring size.
 // Store is safe for concurrent use.
 type Store struct {
-	limit int
-
 	mu       sync.Mutex
-	messages []StoredMessage // ring; grows to limit, then wraps
-	oldest   int             // index of the oldest message once full
-	counts   map[string]int  // InstanceID -> retained messages
+	messages *ringbuf.Ring[StoredMessage]
+	counts   map[string]int // InstanceID -> retained messages
 }
 
 // NewStore builds a store retaining at most limit messages (oldest
@@ -44,24 +42,19 @@ func NewStore(limit int) *Store {
 	if limit <= 0 {
 		limit = 1024
 	}
-	return &Store{limit: limit, counts: map[string]int{}}
+	return &Store{messages: ringbuf.New[StoredMessage](limit), counts: map[string]int{}}
 }
 
 // Record appends a message, evicting the oldest beyond the limit.
 func (s *Store) Record(m StoredMessage) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.messages) < s.limit {
-		s.messages = append(s.messages, m)
-	} else {
-		evicted := s.messages[s.oldest].InstanceID
-		if n := s.counts[evicted] - 1; n > 0 {
-			s.counts[evicted] = n
+	if evicted, ok := s.messages.Push(m); ok {
+		if n := s.counts[evicted.InstanceID] - 1; n > 0 {
+			s.counts[evicted.InstanceID] = n
 		} else {
-			delete(s.counts, evicted)
+			delete(s.counts, evicted.InstanceID)
 		}
-		s.messages[s.oldest] = m
-		s.oldest = (s.oldest + 1) % s.limit
 	}
 	s.counts[m.InstanceID]++
 }
@@ -70,7 +63,7 @@ func (s *Store) Record(m StoredMessage) {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.messages)
+	return s.messages.Len()
 }
 
 // CountForInstance returns how many retained messages correlate to the
@@ -110,17 +103,9 @@ func (f Filter) matches(m StoredMessage) bool {
 func (s *Store) Query(f Filter) []StoredMessage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []StoredMessage
-	// Oldest first: the slots from oldest to the end, then the ones
-	// before it. Until the ring first wraps, oldest is 0 and the second
-	// part is empty.
-	for _, part := range [2][]StoredMessage{s.messages[s.oldest:], s.messages[:s.oldest]} {
-		for _, m := range part {
-			if f.matches(m) {
-				m.Envelope = m.Envelope.Clone()
-				out = append(out, m)
-			}
-		}
+	out := s.messages.Newest(0, f.matches)
+	for i := range out {
+		out[i].Envelope = out[i].Envelope.Clone()
 	}
 	return out
 }
@@ -147,8 +132,7 @@ func (s *Store) CountMatching(f Filter, expr *xpath.Compiled) (int, error) {
 // Reset discards all retained messages.
 func (s *Store) Reset() {
 	s.mu.Lock()
-	s.messages = nil
-	s.oldest = 0
+	s.messages.Reset()
 	clear(s.counts)
 	s.mu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -192,5 +193,24 @@ func TestHTTPHandlers(t *testing.T) {
 	TracesHandler(tel.Tracer, tel.Journal).ServeHTTP(rec, httptest.NewRequest("GET", "/traces/nope", nil))
 	if rec.Code != 404 {
 		t.Fatalf("unknown trace status = %d", rec.Code)
+	}
+}
+
+// BenchmarkTracerCommit measures retaining one completed trace in a
+// full ring; its cost must not grow with the capacity.
+func BenchmarkTracerCommit(b *testing.B) {
+	for _, capacity := range []int{128, 65536} {
+		b.Run("cap="+strconv.Itoa(capacity), func(b *testing.B) {
+			t := NewTracer(capacity)
+			tr := &Trace{id: "t"}
+			for i := 0; i < capacity; i++ {
+				t.commit(tr)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.commit(tr)
+			}
+		})
 	}
 }
